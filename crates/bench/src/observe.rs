@@ -83,7 +83,8 @@ pub fn run_observed(scenario: &str, cfg: &ObserveConfig) -> Result<ObservedRun, 
 fn instrument(sim: &mut Sim, node: &str, provenance: bool) -> usize {
     sim.with_actor::<OverlogActor, _>(node, |a| {
         let rt = a.runtime();
-        rt.set_provenance(provenance);
+        rt.set_provenance(provenance)
+            .expect("views rebuild when capture starts");
         let spec = install_monitor(rt).expect("generated monitor loads");
         spec.statements()
     })

@@ -140,9 +140,11 @@ fn hot_uncompiled_rules(
 
 /// W0010: a *hot* view — its body joins a table the cardinality model
 /// marks big — that every retraction recomputes wholesale, for a reason
-/// the maintenance pass calls *fixable* (typically a head key that is
-/// join-bound instead of delta-bound). One key rewrite away from scaling
-/// with churn instead of state size, which is exactly the regression the
+/// the maintenance pass calls *fixable*: a head key no body predicate
+/// binds whole (so touched keys have no anchor to re-derive through), an
+/// aggregate group key the delta row does not carry, or a recursive view
+/// keyed on part of its row. One key rewrite away from scaling with churn
+/// instead of state size, which is exactly the regression the
 /// incremental-maintenance engine exists to avoid.
 fn hot_full_recompute_views(
     ctx: &ProgramContext,
@@ -186,10 +188,11 @@ fn hot_full_recompute_views(
                 ),
             )
             .with_help(
-                "make every head key column a column of each delta row (add the \
-                 missing key column or split the join) so deletions maintain the \
-                 view incrementally; see the maintenance verdicts in `olgcheck \
-                 analyze`",
+                "let one body predicate bind every head key column (for an \
+                 aggregate, every delta row its group key), adding the missing key \
+                 column or splitting the join, or key a recursive view on its whole \
+                 row, so deletions maintain the view incrementally; see the \
+                 maintenance verdicts in `olgcheck analyze`",
             ),
         );
     }

@@ -15,9 +15,13 @@
 //! * **support-rederive** — joins, negation, or a keyed head: deleting a
 //!   source row can retract head rows other sources still support, so the
 //!   runtime deletes the touched head keys and re-derives them from the
-//!   current state (DRed-style delete-and-rederive, scoped to the keys the
-//!   delta names). Recursive views are flagged: their re-derivation
-//!   closure is unbounded, so the runtime falls back to recomputation.
+//!   current state through an *anchor* predicate that binds the whole key
+//!   (delete-and-rederive, scoped to the keys the delta names). When the
+//!   delta row does not carry the key (`join-discovered`), the touched keys
+//!   are found by evaluating the variant itself on the delta rows.
+//!   Self-recursive views (`recursive`) run DRed to a fixpoint: over-delete
+//!   everything the delta derives transitively, re-derive the over-deleted
+//!   rows through the anchor index, then propagate insertions semi-naively.
 //! * **group-recompute** — aggregates. A delta row names its group key, so
 //!   only the touched groups are re-folded; untouched groups keep their
 //!   materialized rows.
@@ -25,14 +29,15 @@
 //!   code and a hard-vs-fixable split: `fixable: true` marks views a
 //!   schema or rule rewrite could rescue (lint W0010 surfaces the hot
 //!   ones), `false` marks structural blocks (stateful builtins, body-less
-//!   rules).
+//!   rules, recursion through other views).
 //!
 //! Verdicts drive two consumers. `olgcheck analyze` renders them per view
 //! rule variant; the planner compiles them into a [`MaintPlan`] whose
 //! per-view [`ViewMaint`] strategies the runtime executes instead of
 //! recomputing (`runtime.rs` falls back per round whenever a dirty input
-//! cannot name the touched keys, so determinism never rests on this
-//! analysis being complete — only the *speed* does).
+//! defeats the strategy — a changed negated input, or deletions in two
+//! inputs of one rule that the key projection cannot see — so determinism
+//! never rests on this analysis being complete, only the *speed* does).
 
 use super::ProgramContext;
 use crate::ast::{BodyElem, Expr, HeadArg, Predicate, Rule, Span, TableDecl};
@@ -49,13 +54,16 @@ pub enum MaintVerdict {
     /// independent, a per-row support count decides retraction.
     Counting,
     /// Delete-and-rederive the head keys the delta names, against current
-    /// state. Sound under stratified negation; `recursive` marks views
-    /// whose re-derivation closure is unbounded (runtime falls back).
+    /// state. Sound under stratified negation.
     SupportRederive {
-        /// Head key columns a delta row determines.
+        /// The head's key columns.
         key: Vec<usize>,
-        /// Head table reachable from its own body through view rules.
+        /// The head is reachable from its own body (through itself only):
+        /// the runtime runs delete-and-rederive to a fixpoint (DRed).
         recursive: bool,
+        /// The delta row does not carry the key; the touched keys are
+        /// found by evaluating this variant on the delta rows.
+        discovered: bool,
     },
     /// Re-fold only the aggregate groups the delta touches.
     GroupRecompute {
@@ -66,7 +74,7 @@ pub enum MaintVerdict {
     FullRecompute {
         /// Machine-readable reason code (stable across releases):
         /// `impure-builtin`, `no-delta`, `unbound-group-key`,
-        /// `unbound-head-key`.
+        /// `unbound-head-key`, `keyed-recursion`, `mutual-recursion`.
         code: &'static str,
         /// Human-readable explanation.
         reason: String,
@@ -83,13 +91,9 @@ impl MaintVerdict {
     }
 
     /// Does the verdict certify some incremental strategy (counting,
-    /// non-recursive rederive, or group recompute)?
+    /// rederive — recursive or not — or group recompute)?
     pub fn incremental(&self) -> bool {
-        match self {
-            MaintVerdict::Counting | MaintVerdict::GroupRecompute { .. } => true,
-            MaintVerdict::SupportRederive { recursive, .. } => !recursive,
-            MaintVerdict::FullRecompute { .. } => false,
-        }
+        !matches!(self, MaintVerdict::FullRecompute { .. })
     }
 }
 
@@ -97,12 +101,19 @@ impl fmt::Display for MaintVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MaintVerdict::Counting => write!(f, "counting(weighted row deltas)"),
-            MaintVerdict::SupportRederive { key, recursive } => {
+            MaintVerdict::SupportRederive {
+                key,
+                recursive,
+                discovered,
+            } => {
+                write!(f, "support-rederive(key={key:?}")?;
                 if *recursive {
-                    write!(f, "support-rederive(key={key:?}, recursive)")
-                } else {
-                    write!(f, "support-rederive(key={key:?})")
+                    write!(f, ", recursive")?;
                 }
+                if *discovered {
+                    write!(f, ", join-discovered")?;
+                }
+                write!(f, ")")
             }
             MaintVerdict::GroupRecompute { group } => {
                 write!(f, "group-recompute(group={group:?})")
@@ -151,6 +162,19 @@ fn full(code: &'static str, reason: impl Into<String>, fixable: bool) -> MaintVe
     }
 }
 
+/// How a view table depends on itself through view rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recursion {
+    /// The view never reaches itself.
+    None,
+    /// The view reaches itself only through its own rules (a recursive
+    /// predicate of its own body, like `fqpath` or transitive closure).
+    SelfOnly,
+    /// The view reaches itself through another view: the two must be
+    /// maintained together, which delete-and-rederive does not do.
+    Mutual,
+}
+
 /// Judge one semi-naive variant of a view rule: which maintenance
 /// algorithm is sound when the delta arrives through positive predicate
 /// `delta_pred`? Unlike the shard pass this is order-independent — the
@@ -160,7 +184,7 @@ pub fn variant_verdict(
     rule: &Rule,
     delta_pred: Option<usize>,
     decls: &HashMap<String, TableDecl>,
-    recursive: bool,
+    recursion: Recursion,
 ) -> MaintVerdict {
     if let Some(fname) = super::shard::impure_call(rule) {
         return full(
@@ -209,11 +233,31 @@ pub fn variant_verdict(
     }
 
     let key = placement_cols(decls, &rule.head.table, rule.head.args.len());
-    if recursive {
-        return MaintVerdict::SupportRederive {
-            key,
-            recursive: true,
-        };
+    let whole_row = key.len() == rule.head.args.len();
+    match recursion {
+        Recursion::Mutual => {
+            return full(
+                "mutual-recursion",
+                "recursive through another view; delete-and-rederive maintains one view at a time",
+                false,
+            )
+        }
+        Recursion::SelfOnly if !whole_row => {
+            return full(
+                "keyed-recursion",
+                "recursive view keyed on a strict subset of its columns: which derivation \
+                 wins a key inside the fixpoint depends on evaluation order",
+                true,
+            )
+        }
+        Recursion::SelfOnly => {
+            return MaintVerdict::SupportRederive {
+                key,
+                recursive: true,
+                discovered: false,
+            }
+        }
+        Recursion::None => {}
     }
     // Counting needs no key binding at all: single positive predicate, no
     // negation, whole-row-keyed head means every derivation stands or
@@ -224,47 +268,58 @@ pub fn variant_verdict(
         .body
         .iter()
         .any(|b| matches!(b, BodyElem::Pred(p) if p.negated));
-    let whole_row = key.len() == rule.head.args.len();
     if npos == 1 && !negated && whole_row {
         return MaintVerdict::Counting;
     }
-    for &c in &key {
-        if !head_col_bound(rule, c, delta) {
-            return full(
-                "unbound-head-key",
-                format!(
-                    "head key column {c} is join-bound, not a column of the `{}` delta row",
-                    delta.table
-                ),
-                true,
-            );
-        }
+    let binds_key = |p: &Predicate| key.iter().all(|&c| head_col_bound(rule, c, p));
+    if binds_key(delta) {
+        return MaintVerdict::SupportRederive {
+            key,
+            recursive: false,
+            discovered: false,
+        };
     }
-    MaintVerdict::SupportRederive {
-        key,
-        recursive: false,
+    // The delta row cannot name the key, but evaluating the variant on it
+    // can — as long as some body predicate binds the whole key, so the
+    // touched keys can be re-derived through that predicate's index.
+    if rule.positive_predicates().any(binds_key) {
+        return MaintVerdict::SupportRederive {
+            key,
+            recursive: false,
+            discovered: true,
+        };
     }
+    full(
+        "unbound-head-key",
+        "no body predicate binds every head key column, so touched keys have no \
+         anchor to re-derive through",
+        true,
+    )
 }
 
 /// Judge every semi-naive variant of a view rule.
 pub fn rule_verdicts(
     rule: &Rule,
     decls: &HashMap<String, TableDecl>,
-    recursive: bool,
+    recursion: Recursion,
 ) -> Vec<MaintVerdict> {
     let npos = rule.positive_predicates().count();
     if npos == 0 {
-        return vec![variant_verdict(rule, None, decls, recursive)];
+        return vec![variant_verdict(rule, None, decls, recursion)];
     }
     (0..npos)
-        .map(|d| variant_verdict(rule, Some(d), decls, recursive))
+        .map(|d| variant_verdict(rule, Some(d), decls, recursion))
         .collect()
 }
 
-/// View tables reachable from their own bodies through view rules: the
+/// How each view table depends on itself through view rules: the
 /// recursion test behind `SupportRederive { recursive }`. Keyed by table
-/// name; only heads of view rules appear.
-pub fn recursive_views(rules: &[Rule], decls: &HashMap<String, TableDecl>) -> HashSet<String> {
+/// name; only heads of view rules appear (absent means
+/// [`Recursion::None`]).
+pub fn view_recursion(
+    rules: &[Rule],
+    decls: &HashMap<String, TableDecl>,
+) -> HashMap<String, Recursion> {
     let mut deps: HashMap<&str, HashSet<&str>> = HashMap::new();
     for rule in rules {
         if !super::classify(rule, decls).is_view {
@@ -296,10 +351,22 @@ pub fn recursive_views(rules: &[Rule], decls: &HashMap<String, TableDecl>) -> Ha
             break;
         }
     }
+    // A recursive view is mutually recursive when another view it reaches
+    // reaches it back.
     heads
-        .into_iter()
-        .filter(|h| deps[h].contains(h))
-        .map(String::from)
+        .iter()
+        .filter(|h| deps[*h].contains(*h))
+        .map(|&h| {
+            let mutual = deps[h]
+                .iter()
+                .any(|&w| w != h && deps.get(w).is_some_and(|d| d.contains(h)));
+            let r = if mutual {
+                Recursion::Mutual
+            } else {
+                Recursion::SelfOnly
+            };
+            (h.to_string(), r)
+        })
         .collect()
 }
 
@@ -330,13 +397,17 @@ pub struct MaintReport {
 /// Run the maintenance pass over a context. `rule_ok` is the error-pass
 /// mask; broken rules are skipped.
 pub fn analyze(ctx: &ProgramContext, rule_ok: &[bool]) -> MaintReport {
-    let recursive = recursive_views(&ctx.rules, &ctx.decls);
+    let recursion = view_recursion(&ctx.rules, &ctx.decls);
     let mut rules = Vec::new();
     for (i, rule) in ctx.rules.iter().enumerate() {
         if !rule_ok[i] || !super::classify(rule, &ctx.decls).is_view {
             continue;
         }
-        let verdicts = rule_verdicts(rule, &ctx.decls, recursive.contains(&rule.head.table));
+        let rec = recursion
+            .get(&rule.head.table)
+            .copied()
+            .unwrap_or(Recursion::None);
+        let verdicts = rule_verdicts(rule, &ctx.decls, rec);
         let mut deltas: Vec<String> = rule
             .positive_predicates()
             .map(|p| p.table.clone())
@@ -393,9 +464,13 @@ pub fn render_json(report: &MaintReport) -> String {
                     "{{\"delta\":{},\"verdict\":\"counting\"}}",
                     json_string(delta)
                 )),
-                MaintVerdict::SupportRederive { key, recursive } => out.push_str(&format!(
+                MaintVerdict::SupportRederive {
+                    key,
+                    recursive,
+                    discovered,
+                } => out.push_str(&format!(
                     "{{\"delta\":{},\"verdict\":\"support-rederive\",\"key\":{key:?},\
-                     \"recursive\":{recursive}}}",
+                     \"recursive\":{recursive},\"discovered\":{discovered}}}",
                     json_string(delta)
                 )),
                 MaintVerdict::GroupRecompute { group } => out.push_str(&format!(
@@ -432,6 +507,10 @@ pub enum Bind {
     Col(usize),
     /// The key component is this constant for every row the rule derives.
     Const(Value),
+    /// The key component is computed from the rest of the body (only in
+    /// the partial anchors of recursive views: the bound components still
+    /// narrow the probe, and the evaluation settles the rest).
+    Free,
 }
 
 /// One body predicate (positive or negated) of some rule deriving a view,
@@ -442,9 +521,15 @@ pub struct SourceDep {
     /// The source table.
     pub tid: TableId,
     /// Key projection (one [`Bind`] per key component), or `None` when a
-    /// dirty row of this source cannot name the touched keys — the
-    /// executor falls back to full recomputation for that round.
+    /// dirty row of this source cannot name the touched keys by itself.
     pub binds: Option<Vec<Bind>>,
+    /// Rule id of the rule whose body holds this predicate.
+    pub rule: usize,
+    /// The semi-naive variant whose delta is this predicate: `Some` for
+    /// positive predicates of non-aggregate rules. Evaluating it on the
+    /// source's delta rows names the touched keys when `binds` is `None`;
+    /// an unbound source without one makes the executor fall back.
+    pub variant: Option<usize>,
 }
 
 /// A scoped re-evaluation recipe: which rule variant to run, anchored on
@@ -457,9 +542,9 @@ pub struct AnchorEval {
     pub variant: usize,
     /// Anchor table.
     pub tid: TableId,
-    /// Key projection over anchor rows; all components are `Col` or
-    /// `Const`, so `Col` columns form an index probe and `Const`
-    /// components filter keys that this rule can never derive.
+    /// Key projection over anchor rows: `Col` columns form an index probe
+    /// and `Const` components filter keys that this rule can never derive.
+    /// Only the anchors of [`ViewMaint::Dred`] hold `Free` components.
     pub binds: Vec<Bind>,
 }
 
@@ -498,6 +583,18 @@ pub enum ViewMaint {
         /// Every body predicate of every deriving rule.
         sources: Vec<SourceDep>,
     },
+    /// Delete-and-rederive to a fixpoint for a self-recursive view keyed
+    /// on its whole row: over-delete what the deleted source rows derive
+    /// transitively, re-derive the over-deleted rows through each rule's
+    /// anchor, then propagate insertions semi-naively.
+    Dred {
+        /// One anchored re-evaluation per deriving rule; binds range over
+        /// the head columns and may be partial (`Free`).
+        rules: Vec<AnchorEval>,
+        /// Every body predicate of every deriving rule, the view's own
+        /// recursive occurrences included.
+        sources: Vec<SourceDep>,
+    },
 }
 
 /// Per-plan maintenance strategies, built by the planner alongside the
@@ -507,43 +604,66 @@ pub struct MaintPlan {
     /// `verdicts[rule_id][variant_index]`; empty for non-view rules.
     pub verdicts: Vec<Vec<MaintVerdict>>,
     /// Compiled strategy per view table. Views absent here always
-    /// recompute (recursive, impure, or structurally unbindable).
+    /// recompute (mutually or key-overwrite recursive, impure, or
+    /// structurally unbindable).
     pub views: HashMap<TableId, ViewMaint>,
 }
 
-/// The key projection of `pred`'s row onto the head columns `key_cols`,
-/// or `None` when some component is neither a constant nor a verbatim
-/// column of the predicate. `slot_names` translates compiled head slots
-/// back to source-level variable names.
-fn source_binds(
-    cr: &CompiledRule,
-    rule: &Rule,
-    key_cols: &[usize],
-    pred: &Predicate,
-) -> Option<Vec<Bind>> {
-    let mut binds = Vec::with_capacity(key_cols.len());
-    for &c in key_cols {
-        match cr.head_args.get(c) {
-            Some(CHeadArg::Expr(CExpr::Lit(v))) => binds.push(Bind::Const(v.clone())),
-            Some(CHeadArg::Expr(CExpr::Slot(s))) => {
-                let name = cr.slot_names.get(*s)?;
-                let col = pred
-                    .args
-                    .iter()
-                    .position(|a| matches!(a, Expr::Var(w) if *w == *name))?;
-                binds.push(Bind::Col(col));
-            }
-            _ => return None,
-        }
-    }
-    // Head args on the AST side must agree (paranoia against slot reuse).
-    debug_assert_eq!(rule.head.args.len(), cr.head_args.len());
-    Some(binds)
+/// The key projection of `pred`'s row onto the head columns `key_cols`:
+/// `Free` where a component is neither a constant nor a verbatim column of
+/// the predicate. `slot_names` translates compiled head slots back to
+/// source-level variable names.
+fn partial_binds(cr: &CompiledRule, key_cols: &[usize], pred: &Predicate) -> Vec<Bind> {
+    key_cols
+        .iter()
+        .map(|&c| match cr.head_args.get(c) {
+            Some(CHeadArg::Expr(CExpr::Lit(v))) => Bind::Const(v.clone()),
+            Some(CHeadArg::Expr(CExpr::Slot(s))) => cr
+                .slot_names
+                .get(*s)
+                .and_then(|name| {
+                    pred.args
+                        .iter()
+                        .position(|a| matches!(a, Expr::Var(w) if *w == *name))
+                })
+                .map_or(Bind::Free, Bind::Col),
+            _ => Bind::Free,
+        })
+        .collect()
 }
 
-/// The variant of `cr` whose delta predicate is positive predicate `p`.
-fn variant_for(cr: &CompiledRule, p: usize) -> Option<usize> {
-    cr.variants.iter().position(|v| v.delta_pred == Some(p))
+/// The key projection of `pred`'s row onto `key_cols`, or `None` when some
+/// component is not bound by the predicate alone.
+fn source_binds(cr: &CompiledRule, key_cols: &[usize], pred: &Predicate) -> Option<Vec<Bind>> {
+    let binds = partial_binds(cr, key_cols, pred);
+    (!binds.contains(&Bind::Free)).then_some(binds)
+}
+
+/// The body predicates of rule `cr` in body order, each with its table id
+/// and (for positive ones) the variant whose delta it is; `None` when some
+/// body table is not interned.
+fn body_preds<'r>(
+    cr: &CompiledRule,
+    rule: &'r Rule,
+    ids: &TableIds,
+) -> Option<Vec<(&'r Predicate, TableId, Option<usize>)>> {
+    // Head args on the AST side must agree (paranoia against slot reuse).
+    debug_assert_eq!(rule.head.args.len(), cr.head_args.len());
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    for b in &rule.body {
+        let BodyElem::Pred(p) = b else { continue };
+        let variant = if p.negated {
+            None
+        } else {
+            pos += 1;
+            cr.variants
+                .iter()
+                .position(|v| v.delta_pred == Some(pos - 1))
+        };
+        out.push((p, ids.get(&p.table)?, variant));
+    }
+    Some(out)
 }
 
 /// Build the compiled per-view strategies from the planner's outputs.
@@ -554,7 +674,7 @@ pub fn view_strategies(
     decls: &HashMap<String, TableDecl>,
     ids: &TableIds,
 ) -> HashMap<TableId, ViewMaint> {
-    let recursive = recursive_views(rules, decls);
+    let recursion = view_recursion(rules, decls);
     // Deriving view rules per head table, in rule order.
     let mut by_head: HashMap<TableId, Vec<usize>> = HashMap::new();
     for cr in compiled {
@@ -564,15 +684,68 @@ pub fn view_strategies(
     }
     let mut out = HashMap::new();
     'views: for (&v, rids) in &by_head {
-        // Any recursion or statefulness anywhere in the deriving set
-        // disqualifies the whole view.
-        for &rid in rids {
-            let rule = &rules[rid];
-            if recursive.contains(&rule.head.table) || super::shard::impure_call(rule).is_some() {
-                continue 'views;
-            }
+        // Statefulness anywhere in the deriving set disqualifies the view.
+        if rids
+            .iter()
+            .any(|&rid| super::shard::impure_call(&rules[rid]).is_some())
+        {
+            continue;
         }
+        let arity = compiled[rids[0]].head_args.len();
+        let key_cols = placement_cols(decls, &compiled[rids[0]].head_table, arity);
         let any_aggregate = rids.iter().any(|&r| compiled[r].aggregate);
+        match recursion.get(&compiled[rids[0]].head_table) {
+            None => {}
+            Some(Recursion::SelfOnly) if !any_aggregate && key_cols.len() == arity => {
+                // DRed: anchor each rule on the positive predicate binding
+                // the most head columns (the first among equals); keys are
+                // whole rows, so binds range over the head columns.
+                let all_cols: Vec<usize> = (0..arity).collect();
+                let mut anchors = Vec::new();
+                let mut sources = Vec::new();
+                for &rid in rids {
+                    let (cr, rule) = (&compiled[rid], &rules[rid]);
+                    let Some(preds) = body_preds(cr, rule, ids) else {
+                        continue 'views;
+                    };
+                    let mut best: Option<(usize, AnchorEval)> = None;
+                    for (p, tid, variant) in preds {
+                        if let Some(vi) = variant {
+                            let binds = partial_binds(cr, &all_cols, p);
+                            let n = binds.iter().filter(|b| matches!(b, Bind::Col(_))).count();
+                            if best.as_ref().is_none_or(|(m, _)| n > *m) {
+                                let anchor = AnchorEval {
+                                    rule: rid,
+                                    variant: vi,
+                                    tid,
+                                    binds,
+                                };
+                                best = Some((n, anchor));
+                            }
+                        }
+                        sources.push(SourceDep {
+                            tid,
+                            binds: None,
+                            rule: rid,
+                            variant,
+                        });
+                    }
+                    match best {
+                        Some((_, a)) => anchors.push(a),
+                        None => continue 'views,
+                    }
+                }
+                out.insert(
+                    v,
+                    ViewMaint::Dred {
+                        rules: anchors,
+                        sources,
+                    },
+                );
+                continue;
+            }
+            Some(_) => continue,
+        }
         if any_aggregate {
             // Aggregate views must be the sole writer of their head: a
             // second rule would interleave with group overwrites in an
@@ -591,35 +764,34 @@ pub fn view_strategies(
                 .collect();
             // Declared key order -> position in the group tuple
             // (`check_aggregate` guarantees the sets match).
-            let declared = placement_cols(decls, &cr.head_table, cr.head_args.len());
-            let key_map: Option<Vec<usize>> = declared
+            let key_map: Option<Vec<usize>> = key_cols
                 .iter()
                 .map(|k| group_cols.iter().position(|g| g == k))
                 .collect();
             let Some(key_map) = key_map else { continue };
+            let Some(preds) = body_preds(cr, rule, ids) else {
+                continue;
+            };
             let mut sources = Vec::new();
             let mut anchor = None;
-            let mut pos = 0usize;
-            for b in &rule.body {
-                let BodyElem::Pred(p) = b else { continue };
-                let Some(tid) = ids.get(&p.table) else {
-                    continue 'views;
-                };
-                let binds = source_binds(cr, rule, &group_cols, p);
-                if !p.negated {
-                    if anchor.is_none() && binds.is_some() {
-                        if let Some(vi) = variant_for(cr, pos) {
-                            anchor = Some(AnchorEval {
-                                rule: rid,
-                                variant: vi,
-                                tid,
-                                binds: binds.clone().expect("checked is_some"),
-                            });
-                        }
-                    }
-                    pos += 1;
+            for (p, tid, variant) in preds {
+                let binds = source_binds(cr, &group_cols, p);
+                if let (None, Some(vi), Some(b)) = (&anchor, variant, &binds) {
+                    anchor = Some(AnchorEval {
+                        rule: rid,
+                        variant: vi,
+                        tid,
+                        binds: b.clone(),
+                    });
                 }
-                sources.push(SourceDep { tid, binds });
+                // Aggregate variants fold rather than derive rows, so an
+                // unbound source cannot discover its groups.
+                sources.push(SourceDep {
+                    tid,
+                    binds,
+                    rule: rid,
+                    variant: None,
+                });
             }
             let Some(anchor) = anchor else { continue };
             out.insert(
@@ -638,8 +810,6 @@ pub fn view_strategies(
         // Non-aggregate views: counting when every rule is a simple
         // single-predicate projection over a whole-row-keyed head, else
         // keyed delete-and-rederive when every rule can anchor.
-        let arity = compiled[rids[0]].head_args.len();
-        let key_cols = placement_cols(decls, &compiled[rids[0]].head_table, arity);
         let whole_row = key_cols.len() == arity;
         let countable = whole_row
             && rids.iter().all(|&r| {
@@ -655,7 +825,7 @@ pub fn view_strategies(
             let mut sources = Vec::new();
             for &rid in rids {
                 let cr = &compiled[rid];
-                let Some(vi) = variant_for(cr, 0) else {
+                let Some(vi) = cr.variants.iter().position(|v| v.delta_pred == Some(0)) else {
                     continue 'views;
                 };
                 crules.push((rid, vi));
@@ -675,28 +845,26 @@ pub fn view_strategies(
         let mut sources = Vec::new();
         for &rid in rids {
             let (cr, rule) = (&compiled[rid], &rules[rid]);
+            let Some(preds) = body_preds(cr, rule, ids) else {
+                continue 'views;
+            };
             let mut anchor = None;
-            let mut pos = 0usize;
-            for b in &rule.body {
-                let BodyElem::Pred(p) = b else { continue };
-                let Some(tid) = ids.get(&p.table) else {
-                    continue 'views;
-                };
-                let binds = source_binds(cr, rule, &key_cols, p);
-                if !p.negated {
-                    if anchor.is_none() && binds.is_some() {
-                        if let Some(vi) = variant_for(cr, pos) {
-                            anchor = Some(AnchorEval {
-                                rule: rid,
-                                variant: vi,
-                                tid,
-                                binds: binds.clone().expect("checked is_some"),
-                            });
-                        }
-                    }
-                    pos += 1;
+            for (p, tid, variant) in preds {
+                let binds = source_binds(cr, &key_cols, p);
+                if let (None, Some(vi), Some(b)) = (&anchor, variant, &binds) {
+                    anchor = Some(AnchorEval {
+                        rule: rid,
+                        variant: vi,
+                        tid,
+                        binds: b.clone(),
+                    });
                 }
-                sources.push(SourceDep { tid, binds });
+                sources.push(SourceDep {
+                    tid,
+                    binds,
+                    rule: rid,
+                    variant,
+                });
             }
             // Every deriving rule needs an anchor, or touched keys could
             // not be re-derived through it.
@@ -771,16 +939,42 @@ mod tests {
             verdict(&rep, 0, 0),
             &MaintVerdict::SupportRederive {
                 key: vec![0],
-                recursive: false
+                recursive: false,
+                discovered: false,
             }
         );
-        // delta b: X is join-bound -> fixable full recompute.
-        match verdict(&rep, 0, 1) {
-            MaintVerdict::FullRecompute { code, fixable, .. } => {
-                assert_eq!(*code, "unbound-head-key");
-                assert!(fixable);
+        // delta b: X is join-bound, but `a` binds it: the touched keys are
+        // discovered by evaluating the variant, then re-derived through a.
+        assert_eq!(
+            verdict(&rep, 0, 1),
+            &MaintVerdict::SupportRederive {
+                key: vec![0],
+                recursive: false,
+                discovered: true,
             }
-            other => panic!("expected full-recompute, got {other}"),
+        );
+        assert!(verdict(&rep, 0, 1).incremental());
+        assert!(render(&rep).contains("delta b: support-rederive(key=[0], join-discovered)"));
+    }
+
+    #[test]
+    fn head_key_no_predicate_binds_is_fixable_full() {
+        // Key (Y, Z): a binds Y, b binds Z, nobody binds both.
+        let rep = maint_report(
+            "define(a, keys(0), {Int, Int});
+             define(b, keys(0), {Int, Int});
+             define(v, keys(0,1), {Int, Int});
+             a(1, 2); b(1, 3);
+             v(Y, Z) :- a(X, Y), b(X, Z);",
+        );
+        for variant in 0..2 {
+            match verdict(&rep, 0, variant) {
+                MaintVerdict::FullRecompute { code, fixable, .. } => {
+                    assert_eq!(*code, "unbound-head-key");
+                    assert!(fixable);
+                }
+                other => panic!("expected full-recompute, got {other}"),
+            }
         }
     }
 
@@ -827,15 +1021,57 @@ mod tests {
              path(X, Z) :- edge(X, Y), path(Y, Z);",
         );
         // Both path rules carry the recursive flag (the head is reachable
-        // from its own body), including the non-recursive base rule.
-        match verdict(&rep, 1, 1) {
-            MaintVerdict::SupportRederive { recursive, .. } => assert!(recursive),
-            other => panic!("expected support-rederive, got {other}"),
+        // from its own body), including the non-recursive base rule, and
+        // both maintain incrementally (DRed).
+        for (rule, variant) in [(1, 1), (0, 0)] {
+            match verdict(&rep, rule, variant) {
+                MaintVerdict::SupportRederive { recursive, .. } => assert!(recursive),
+                other => panic!("expected support-rederive, got {other}"),
+            }
+            assert!(verdict(&rep, rule, variant).incremental());
         }
-        match verdict(&rep, 0, 0) {
-            MaintVerdict::SupportRederive { recursive, .. } => assert!(recursive),
-            other => panic!("expected support-rederive, got {other}"),
-        }
+    }
+
+    #[test]
+    fn keyed_and_mutual_recursion_stay_full() {
+        let keyed = maint_report(
+            "define(edge, keys(0,1), {Int, Int});
+             define(hop, keys(0), {Int, Int});
+             edge(1, 2);
+             hop(X, Y) :- edge(X, Y);
+             hop(X, Z) :- edge(X, Y), hop(Y, Z);",
+        );
+        assert!(
+            matches!(
+                verdict(&keyed, 1, 1),
+                MaintVerdict::FullRecompute {
+                    code: "keyed-recursion",
+                    fixable: true,
+                    ..
+                }
+            ),
+            "{keyed:?}"
+        );
+        let mutual = maint_report(
+            "define(edge, keys(0,1), {Int, Int});
+             define(odd, keys(0,1), {Int, Int});
+             define(even, keys(0,1), {Int, Int});
+             edge(1, 2);
+             odd(X, Y) :- edge(X, Y);
+             odd(X, Z) :- edge(X, Y), even(Y, Z);
+             even(X, Z) :- edge(X, Y), odd(Y, Z);",
+        );
+        assert!(
+            matches!(
+                verdict(&mutual, 2, 0),
+                MaintVerdict::FullRecompute {
+                    code: "mutual-recursion",
+                    fixable: false,
+                    ..
+                }
+            ),
+            "{mutual:?}"
+        );
     }
 
     #[test]
@@ -882,7 +1118,8 @@ mod tests {
             verdict(&rep, 0, 0),
             &MaintVerdict::SupportRederive {
                 key: vec![0],
-                recursive: false
+                recursive: false,
+                discovered: false,
             }
         );
     }

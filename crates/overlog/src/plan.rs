@@ -497,14 +497,18 @@ pub fn compile_with(
 
     // Maintenance verdicts per view-rule variant, plus the compiled
     // per-view strategies the runtime executes under retraction.
-    let recursive = maint::recursive_views(rules, decls);
+    let recursion = maint::view_recursion(rules, decls);
     let maint_plan = MaintPlan {
         verdicts: rules
             .iter()
             .zip(&classes)
             .map(|(rule, class)| {
                 if class.is_view {
-                    maint::rule_verdicts(rule, decls, recursive.contains(&rule.head.table))
+                    let rec = recursion
+                        .get(&rule.head.table)
+                        .copied()
+                        .unwrap_or(maint::Recursion::None);
+                    maint::rule_verdicts(rule, decls, rec)
                 } else {
                     Vec::new()
                 }
@@ -768,8 +772,26 @@ fn emit_ops(rule: &Rule, order: &[usize], slots: &mut SlotMap, ids: &TableIds) -
             BodyElem::Cond(e) => ops.push(Op::Filter(compile_expr(e, slots))),
             BodyElem::Assign(v, e) => {
                 let ce = compile_expr(e, slots);
-                bound.insert(v.clone());
-                ops.push(Op::Assign(slots.slot(v), ce));
+                if bound.contains(v) {
+                    // A variant that scans its delta first can bind `v`
+                    // before the assignment runs; overwriting would let
+                    // every delta row through. In source order the
+                    // assignment binds and the later scan checks, so the
+                    // assignment checks here: into a scratch slot (`:=`
+                    // cannot appear in a variable name), then compared
+                    // slot to slot, which keeps both ops flat for kernels.
+                    let tmp = slots.slot(&format!("{v}:="));
+                    ops.push(Op::Assign(tmp, ce));
+                    let (a, b) = (CExpr::Slot(slots.slot(v)), CExpr::Slot(tmp));
+                    ops.push(Op::Filter(CExpr::Binary(
+                        BinOp::Eq,
+                        Box::new(a),
+                        Box::new(b),
+                    )));
+                } else {
+                    bound.insert(v.clone());
+                    ops.push(Op::Assign(slots.slot(v), ce));
+                }
             }
         }
     }
@@ -989,6 +1011,73 @@ mod tests {
              p(X, I) :- e(X), big(X, Y), cfg(X, Z), I := qid();";
         let p = plan_with(src, &[("big", 500), ("cfg", 2)], PlanOptions::default());
         assert_eq!(scan_tables(&p, 0, 0), vec!["e", "big", "cfg"]);
+    }
+
+    #[test]
+    fn recursive_and_join_bound_views_compile_strategies() {
+        use crate::analysis::maint::{Bind, ViewMaint};
+        // The NameNode's path views in miniature: a self-recursive,
+        // whole-row-keyed `fqpath` and a `child` keyed off `file` alone.
+        let p = plan_of(
+            "define(file, keys(0), {Int, Int, String});
+             define(fqpath, keys(0,1), {String, Int});
+             define(child, keys(0), {Int, String, String});
+             file(1, 0, \"\");
+             fqpath(\"/\", 1) :- file(1, _, _);
+             fqpath(P, F) :- file(F, D, N), F != 1, fqpath(DP, D), P := DP ++ N;
+             child(F, DP, N) :- file(F, D, N), F != 1, fqpath(DP, D);",
+        )
+        .unwrap();
+        let tid = |n: &str| p.ids.get(n).unwrap();
+        let Some(ViewMaint::Dred { rules, sources }) = p.maint.views.get(&tid("fqpath")) else {
+            panic!("fqpath gets DRed: {:?}", p.maint.views.get(&tid("fqpath")));
+        };
+        // The recursive rule anchors on `file`, binding F but not the
+        // computed path.
+        assert_eq!(rules[1].tid, tid("file"));
+        assert_eq!(rules[1].binds, vec![Bind::Free, Bind::Col(0)]);
+        assert!(sources.iter().any(|s| s.tid == tid("fqpath")));
+        let Some(ViewMaint::KeyRederive { sources, .. }) = p.maint.views.get(&tid("child")) else {
+            panic!("child gets key re-derivation");
+        };
+        // `fqpath` cannot name child's key; its variant discovers it.
+        let via = sources.iter().find(|s| s.tid == tid("fqpath")).unwrap();
+        assert!(via.binds.is_none() && via.variant.is_some());
+    }
+
+    #[test]
+    fn assignment_to_a_delta_bound_variable_is_a_check() {
+        // The `p`-delta variant scans `p(X, Y)` first, binding X before
+        // `X := A + 1` runs: the assignment must filter, not overwrite.
+        let p = plan_of(
+            "event e, {Int};
+             define(p, keys(0,1), {Int, Int});
+             event out, {Int, Int};
+             out(X, Y) :- e(A), X := A + 1, p(X, Y);",
+        )
+        .unwrap();
+        let rule = &p.rules[0];
+        let vi = rule
+            .variants
+            .iter()
+            .position(|v| v.delta_pred == Some(1))
+            .unwrap();
+        let ops = &rule.variants[vi].ops;
+        assert!(matches!(ops[0], Op::Scan { .. }), "{ops:?}");
+        let x = rule.slot_names.iter().position(|n| n == "X").unwrap();
+        let assign = ops
+            .iter()
+            .position(|o| matches!(o, Op::Assign(..)))
+            .expect("the expression is still evaluated");
+        assert!(
+            !matches!(ops[assign], Op::Assign(s, _) if s == x),
+            "{ops:?}"
+        );
+        assert!(
+            matches!(&ops[assign + 1], Op::Filter(CExpr::Binary(BinOp::Eq, a, _))
+                if **a == CExpr::Slot(x)),
+            "{ops:?}"
+        );
     }
 
     #[test]

@@ -205,7 +205,7 @@ mod tests {
 
     fn transitive_closure_rt() -> OverlogRuntime {
         let mut rt = OverlogRuntime::new("n1");
-        rt.set_provenance(true);
+        rt.set_provenance(true).unwrap();
         rt.load(
             "define(link, keys(0,1), {Str, Str});
              define(path, keys(0,1), {Str, Str});

@@ -253,3 +253,137 @@ fn subscribers_survive_a_restart_storm_and_miss_nothing() {
         .with_actor::<OverlogActor, _>(&nn, |a| a.hook_mut::<ServeHost>().unwrap().total_resyncs);
     assert!(resyncs > 0, "host counted the compensating resyncs");
 }
+
+/// Directory renames under standing subscriptions over the path views:
+/// the recursive `fqpath` and the `ls_dir` listing aggregate both follow
+/// a moved subtree through incremental maintenance, and every mirror
+/// tracks its view exactly — through signed deltas, with no resync.
+#[test]
+fn directory_renames_stream_exact_path_and_listing_mirrors() {
+    let mut c = FsClusterBuilder::default().build();
+    attach_host(&mut c);
+    let listing = SubscriptionSpec::new(
+        "fs-listing",
+        "0",
+        "String, List",
+        "Dir, Names",
+        "ls_dir(Dir, Names)",
+    );
+    add_watcher(
+        &mut c,
+        "watch0",
+        vec![(1, fs_queries::file_status()), (2, listing)],
+    );
+    let cl = c.client.clone();
+    for d in ["/a", "/a/b", "/a/b/c", "/z"] {
+        cl.mkdir(&mut c.sim, d).unwrap();
+    }
+    for f in ["/a/f", "/a/b/f", "/a/b/c/f", "/a/b/c/g"] {
+        cl.create(&mut c.sim, f).unwrap();
+    }
+    c.sim.run_for(2_000);
+    let resets_before = c
+        .sim
+        .with_actor::<SubscriberActor, _>("watch0", |s| s.resets);
+
+    cl.rename(&mut c.sim, "/a/b", "/z/b").unwrap();
+    cl.rename(&mut c.sim, "/z/b/c", "/c").unwrap();
+    cl.rm(&mut c.sim, "/c/g").unwrap();
+    cl.rename(&mut c.sim, "/c", "/a/b2").unwrap();
+    c.sim.run_for(2_000);
+
+    let paths = mirror_of(&mut c, "watch0", 1);
+    assert_eq!(paths, server_rows(&mut c, "fqpath"), "fqpath mirror");
+    assert!(paths.iter().any(|r| r[0] == Value::str("/a/b2/f")));
+    assert!(!paths.iter().any(|r| r[0] == Value::str("/a/b/c/f")));
+    assert_eq!(
+        mirror_of(&mut c, "watch0", 2),
+        server_rows(&mut c, "ls_dir"),
+        "ls_dir mirror"
+    );
+    let resets = c
+        .sim
+        .with_actor::<SubscriberActor, _>("watch0", |s| s.resets);
+    assert_eq!(resets, resets_before, "renames must stream as deltas");
+}
+
+/// Tap exactness: maintenance reports exactly what a rebuild reports.
+/// The same directory moves and removals run against a maintained and a
+/// recomputing NameNode with taps on its path views; per view, the tap
+/// streams must match record for record (`ls_dir` as per-tick multisets,
+/// since its stratum-entry refold visits groups in a different order).
+/// A path row over-deleted and re-derived inside one maintenance call is
+/// no change, so it never reaches a tap as a retract/insert pair.
+#[test]
+fn maintained_taps_equal_the_recompute_diff() {
+    use boom::fs::namenode::{namenode_runtime, NameNodeConfig};
+    use boom::fs::proto::request_row;
+    use std::collections::BTreeMap;
+
+    type Stream = Vec<(u64, bool, Vec<Value>)>;
+    let run = |maintenance: bool| -> (BTreeMap<String, Stream>, u64) {
+        let mut rt = namenode_runtime("nn", &NameNodeConfig::default());
+        rt.set_plan_options(PlanOptions {
+            maintenance,
+            ..Default::default()
+        });
+        for t in ["fqpath", "child", "ls_dir"] {
+            assert!(rt.add_tap(t));
+        }
+        let ops: &[(&str, &[&str])] = &[
+            ("mkdir", &["/a"]),
+            ("mkdir", &["/a/b"]),
+            ("mkdir", &["/a/b/c"]),
+            ("mkdir", &["/z"]),
+            ("create", &["/a/b/f"]),
+            ("create", &["/a/b/c/f"]),
+            ("create", &["/a/b/c/g"]),
+            ("rename", &["/a/b", "/z/b"]),
+            ("rename", &["/z/b/c", "/a/c"]),
+            ("rm", &["/a/c/g"]),
+            ("rename", &["/a/c", "/z/b/c2"]),
+            ("rm", &["/z/b/c2/f"]),
+            ("rm", &["/z/b/c2"]),
+        ];
+        let mut streams: BTreeMap<String, Stream> = BTreeMap::new();
+        for (i, (cmd, args)) in ops.iter().enumerate() {
+            let args = args.iter().map(Value::str).collect();
+            rt.insert("request", request_row("c", i as i64, cmd, args))
+                .unwrap();
+            rt.settle(i as u64 + 1).unwrap();
+        }
+        for rec in rt.take_tap_delta() {
+            let insert = matches!(rec.op, boom::overlog::CommitOp::Insert);
+            streams
+                .entry(rec.table)
+                .or_default()
+                .push((rec.tick, insert, rec.row.to_vec()));
+        }
+        (streams, rt.eval_stats().view_recomputes)
+    };
+    let (maintained, recomputes) = run(true);
+    let (recomputed, baseline) = run(false);
+    assert_eq!(recomputes, 0, "every rename and rm was maintained");
+    assert!(baseline > 0, "the twin rebuilds");
+    for table in ["fqpath", "child"] {
+        assert_eq!(maintained[table], recomputed[table], "`{table}` tap stream");
+    }
+    let sorted = |s: &Stream| {
+        let mut s = s.clone();
+        s.sort();
+        s
+    };
+    assert_eq!(sorted(&maintained["ls_dir"]), sorted(&recomputed["ls_dir"]));
+    // No path row both leaves and enters within one tick's maintenance.
+    let fq = &maintained["fqpath"];
+    for (tick, insert, row) in fq {
+        let twin = fq
+            .iter()
+            .any(|(t, i, r)| t == tick && i != insert && r == row);
+        assert!(!twin, "{row:?} retracted and re-inserted in tick {tick}");
+    }
+    assert!(
+        fq.iter().any(|(_, insert, _)| !insert),
+        "moves retract paths"
+    );
+}
